@@ -52,7 +52,6 @@ fn migration_loop() {
         admission: None,
         faults: None,
         arrival_period: None,
-        domain_workers: 0,
         qop_mix: QopMix::Uniform,
         arrival_burst: 1,
         plan_cache: false,
@@ -104,7 +103,6 @@ fn configurable_optimizer() {
         admission: None,
         faults: None,
         arrival_period: None,
-        domain_workers: 0,
         qop_mix: QopMix::Uniform,
         arrival_burst: 1,
         plan_cache: false,

@@ -29,6 +29,8 @@
 //! interesting instant, advances it, and drains typed completions. Nothing
 //! in this crate spawns threads or reads wall-clock time.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod domain;
 pub mod fault;
@@ -44,7 +46,7 @@ pub use cpu::{
     Completion, CpuError, CpuScheduler, Dsrt, DsrtConfig, JobId, ReservationError, TaskId,
     TimeSharing,
 };
-pub use domain::{step_domains, DomainStepper, LinkDomain, SerialStepper};
+pub use domain::LinkDomain;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultModel, FaultPlan, FaultSpec};
 pub use link::{FlowId, LinkError, SharePolicy, SharedLink, XferDone, XferId};
 pub use linkdyn::{LinkInjector, LinkModel, LinkPlan, LinkSpec};

@@ -25,8 +25,8 @@ const SKETCH_GROWTH: f64 = 1.07;
 ///
 /// The sketch counts observations in geometric buckets (growth factor
 /// [`SKETCH_GROWTH`] from [`SKETCH_FLOOR`]): integer counts, so merging
-/// is exact and order-independent — quantiles from a sharded run equal
-/// the serial run's bit for bit, unlike P²-style estimators whose state
+/// is exact and order-independent — quantiles merged from partial
+/// accumulators equal a single pass's bit for bit, unlike P²-style estimators whose state
 /// is merge-order-dependent.
 ///
 /// `PartialEq` compares the accumulator state field-by-field (floats

@@ -2,35 +2,38 @@
 
 use proptest::prelude::*;
 use quasaq_sim::cpu::{CpuScheduler, Dsrt, DsrtConfig, TimeSharing};
-use quasaq_sim::link::SharePolicy;
-use quasaq_sim::queue::reference::ReferenceQueue;
-use quasaq_sim::{
-    step_domains, DomainStepper, EventQueue, LinkDomain, OnlineStats, Rng, SerialStepper, ServerId,
-    SharedLink, SimDuration, SimTime,
-};
+use quasaq_sim::{EventId, EventQueue, OnlineStats, Rng, SharedLink, SimDuration, SimTime};
 
 #[path = "support/old_link.rs"]
 mod old_link;
 use old_link::OracleLink;
 
-/// A deliberately adversarial stepper: spawns one scoped thread per chunk
-/// so domain steps genuinely interleave across threads.
-struct ChunkStepper(usize);
+/// The reference model of [`EventQueue`]: the live events as a
+/// `(time µs, seq)` vector kept sorted, so its head is the next event to
+/// fire and ties break by scheduling order.
+#[derive(Default)]
+struct QueueModel {
+    live: Vec<(u64, u64)>,
+}
 
-// SAFETY: the chunks partition 0..n, so every index is passed to `f`
-// exactly once.
-unsafe impl DomainStepper for ChunkStepper {
-    fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        let indices: Vec<usize> = (0..n).collect();
-        std::thread::scope(|scope| {
-            for chunk in indices.chunks(self.0.max(1)) {
-                scope.spawn(move || {
-                    for &i in chunk {
-                        f(i);
-                    }
-                });
-            }
-        });
+impl QueueModel {
+    fn schedule(&mut self, time: u64, seq: u64) {
+        let at = self.live.partition_point(|&e| e < (time, seq));
+        self.live.insert(at, (time, seq));
+    }
+
+    /// Removes `seq` if it is still live; a fired or cancelled event is
+    /// already gone, so cancelling it again changes nothing.
+    fn cancel(&mut self, seq: u64) {
+        self.live.retain(|&(_, s)| s != seq);
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        (!self.live.is_empty()).then(|| self.live.remove(0))
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.live.first().map(|&(t, _)| t)
     }
 }
 
@@ -58,51 +61,101 @@ fn drain_cpu<S: CpuScheduler>(cpu: &mut S, horizon: SimTime) -> Vec<quasaq_sim::
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Events always pop in non-decreasing time order regardless of the
-    /// insertion order.
+    /// Events fire in exact `(time, seq)` order — earliest first, ties in
+    /// scheduling order — with schedules and pops interleaved, checked
+    /// against the sorted-vector model. `coarse` squeezes the times onto
+    /// a few instants so most events tie.
     #[test]
-    fn event_queue_pops_in_order(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn event_queue_cancellation_is_exact(
-        times in proptest::collection::vec(0u64..100_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
+    fn event_queue_pops_in_order(
+        ops in proptest::collection::vec((any::<bool>(), 0u64..1_000_000), 1..300),
+        coarse in any::<bool>(),
     ) {
         let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_micros(t), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            if cancel_mask.get(*i).copied().unwrap_or(false) {
-                q.cancel(*id);
+        let mut model = QueueModel::default();
+        let mut seq = 0u64;
+        for &(schedule, offset) in &ops {
+            if schedule {
+                let at = q.now().as_micros() + if coarse { offset % 4 } else { offset };
+                q.schedule(SimTime::from_micros(at), seq);
+                model.schedule(at, seq);
+                seq += 1;
             } else {
-                expected.push(*i);
+                prop_assert_eq!(q.peek_time().map(SimTime::as_micros), model.peek_time());
+                let got = q.pop().map(|(t, e)| (t.as_micros(), e));
+                prop_assert_eq!(got, model.pop());
+                if let Some((t, _)) = got {
+                    prop_assert_eq!(q.now().as_micros(), t);
+                }
             }
+            prop_assert_eq!(q.len(), model.live.len());
         }
-        let mut got: Vec<usize> = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            got.push(e);
+        while let Some((t, e)) = q.pop() {
+            prop_assert_eq!(Some((t.as_micros(), e)), model.pop());
         }
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
+        prop_assert!(model.live.is_empty());
+        prop_assert!(q.is_empty());
+    }
+
+    /// Cancellation is exact under interleaved schedule / cancel / pop /
+    /// peek traces, checked step by step against the sorted-vector model:
+    /// cancelled events never fire, survivors keep their `(time, seq)`
+    /// order, cancelling an event that already fired (or was already
+    /// cancelled) is a no-op, and `live_len` always counts exactly the
+    /// model's live events. Draining leaves no tombstone behind.
+    #[test]
+    fn event_queue_cancellation_is_exact(
+        ops in proptest::collection::vec((0u8..6, 0u64..200_000, any::<usize>()), 1..400),
+        coarse in any::<bool>(),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = QueueModel::default();
+        // Every id ever issued, indexed by its seq (also the payload), and
+        // the seqs that have fired.
+        let mut ids: Vec<EventId> = Vec::new();
+        let mut fired: Vec<u64> = Vec::new();
+        for (i, &(op, offset, pick)) in ops.iter().enumerate() {
+            match op {
+                // Bias towards scheduling (two opcodes) so traces grow.
+                0 | 1 => {
+                    let offset = if coarse { offset % 4 } else { offset };
+                    let seq = ids.len() as u64;
+                    ids.push(q.schedule_in(SimDuration::from_micros(offset), seq));
+                    model.schedule(q.now().as_micros() + offset, seq);
+                }
+                // Cancel any id ever issued: live, fired, or cancelled.
+                2 => {
+                    if !ids.is_empty() {
+                        let seq = pick % ids.len();
+                        q.cancel(ids[seq]);
+                        model.cancel(seq as u64);
+                    }
+                }
+                // Cancel after fire, explicitly.
+                3 => {
+                    if !fired.is_empty() {
+                        let seq = fired[pick % fired.len()];
+                        q.cancel(ids[seq as usize]);
+                    }
+                }
+                4 => {
+                    let got = q.pop().map(|(t, e)| (t.as_micros(), e));
+                    prop_assert_eq!(got, model.pop(), "pop diverged at op {}", i);
+                    fired.extend(got.map(|(_, e)| e));
+                }
+                _ => {
+                    let peeked = q.peek_time().map(SimTime::as_micros);
+                    prop_assert_eq!(peeked, model.peek_time(), "peek diverged at op {}", i);
+                }
+            }
+            prop_assert_eq!(q.live_len(), model.live.len(), "live_len diverged at op {}", i);
+            prop_assert!(q.len() >= q.live_len());
+        }
+        while let Some((t, e)) = q.pop() {
+            prop_assert_eq!(Some((t.as_micros(), e)), model.pop(), "tail drain diverged");
+        }
+        prop_assert!(model.live.is_empty());
+        prop_assert_eq!(q.live_len(), 0);
+        prop_assert_eq!(q.len(), 0, "no tombstone may outlive the drain");
     }
 
     /// Time-sharing conservation: every submitted task completes exactly
@@ -263,57 +316,6 @@ proptest! {
         prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var));
     }
 
-    /// Sharded stepping is bitwise identical to serial: the same random
-    /// transfer mix stepped per-domain on real threads produces the same
-    /// completion stream (tags, instants) and the same link state as
-    /// [`SerialStepper`], event for event.
-    #[test]
-    fn domain_parallel_stepping_matches_serial(
-        n_servers in 1usize..7,
-        chunk in 1usize..4,
-        transfers in proptest::collection::vec((0usize..7, 1u64..200_000), 1..40),
-    ) {
-        let build = || {
-            let mut domains: Vec<LinkDomain<usize>> = LinkDomain::cluster(
-                ServerId::first_n(n_servers as u32),
-                SharePolicy::FairShare,
-                1_000_000,
-            );
-            for (tag, &(s, bytes)) in transfers.iter().enumerate() {
-                let d = &mut domains[s % n_servers];
-                let flow = d.link_mut().open_flow(SimTime::ZERO, None).unwrap();
-                let xfer = d.link_mut().send(SimTime::ZERO, flow, bytes).unwrap();
-                d.register(xfer, flow, tag);
-            }
-            domains
-        };
-        let (mut serial, mut sharded) = (build(), build());
-        let stepper = ChunkStepper(chunk);
-        let mut done_serial = 0usize;
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            prop_assert!(guard < 10_000, "domains failed to converge");
-            let next = serial.iter().filter_map(LinkDomain::next_event).min();
-            prop_assert_eq!(next, sharded.iter().filter_map(LinkDomain::next_event).min());
-            let Some(t) = next else { break };
-            step_domains(&SerialStepper, &mut serial, t);
-            step_domains(&stepper, &mut sharded, t);
-            for (a, b) in serial.iter_mut().zip(sharded.iter_mut()) {
-                let da: Vec<_> = a.take_pending().into_iter().map(|d| (d.xfer, d.at)).collect();
-                let db: Vec<_> = b.take_pending().into_iter().map(|d| (d.xfer, d.at)).collect();
-                prop_assert_eq!(&da, &db, "completion streams diverged");
-                for &(x, _) in &da {
-                    prop_assert_eq!(a.resolve(x), b.resolve(x));
-                }
-                done_serial += da.len();
-                prop_assert_eq!(a.in_flight(), b.in_flight());
-                prop_assert_eq!(a.link().reserved_bps(), b.link().reserved_bps());
-            }
-        }
-        prop_assert_eq!(done_serial, transfers.len(), "every transfer completes once");
-    }
-
     /// Forked RNG streams are reproducible and uniform draws stay in
     /// bounds.
     #[test]
@@ -325,63 +327,6 @@ proptest! {
             let x = a.below(bound);
             prop_assert_eq!(x, b.below(bound));
             prop_assert!(x < bound);
-        }
-    }
-
-    /// The timing-wheel event queue is event-for-event identical to the
-    /// reference binary-heap queue under random schedule / cancel / pop /
-    /// peek traces, including `(time, seq)` tie order, tombstoned
-    /// cancellations, and cancels issued after the event already fired.
-    /// The hybrid heap-below-threshold routing is pinned at all three
-    /// regimes: pure wheel (0), crossing mid-trace (16 — these traces grow
-    /// past 16 live events and drain back), and pure heap (the default
-    /// threshold, far above any trace here).
-    #[test]
-    fn timing_wheel_matches_reference_heap(
-        threshold in proptest::sample::select(
-            vec![0usize, 16, quasaq_sim::queue::DEFAULT_HEAP_THRESHOLD],
-        ),
-        ops in proptest::collection::vec((0u8..5, 0u64..200_000, any::<usize>()), 1..400),
-    ) {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        wheel.set_heap_threshold(threshold);
-        let mut heap: ReferenceQueue<u32> = ReferenceQueue::new();
-        // Parallel id logs: the k-th schedule produced ids[k] in each
-        // queue. Popped/cancelled ids stay in the log so a later cancel
-        // exercises the fired-tombstone path.
-        let mut wheel_ids = Vec::new();
-        let mut heap_ids = Vec::new();
-        for (i, &(op, offset, pick)) in ops.iter().enumerate() {
-            match op {
-                // Bias towards scheduling (two opcodes) so traces grow.
-                0 | 1 => {
-                    wheel_ids.push(wheel.schedule_in(SimDuration::from_micros(offset), i as u32));
-                    heap_ids.push(heap.schedule_in(SimDuration::from_micros(offset), i as u32));
-                }
-                2 => {
-                    if !wheel_ids.is_empty() {
-                        let k = pick % wheel_ids.len();
-                        wheel.cancel(wheel_ids[k]);
-                        heap.cancel(heap_ids[k]);
-                    }
-                }
-                3 => {
-                    prop_assert_eq!(wheel.pop(), heap.pop(), "pop diverged at op {}", i);
-                }
-                _ => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged at op {}", i);
-                }
-            }
-            prop_assert_eq!(wheel.live_len(), heap.live_len(), "live_len diverged at op {}", i);
-        }
-        // Drain both to the end: the full tails must agree element-wise.
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(a, b, "tail drain diverged");
-            prop_assert_eq!(wheel.now(), heap.now());
-            if a.is_none() {
-                break;
-            }
         }
     }
 

@@ -15,6 +15,8 @@
 //!   experiments (Fig 6 / Fig 7).
 //! * [`report`] — per-session inter-frame / inter-GOP delay measurements.
 
+#![forbid(unsafe_code)]
+
 pub mod cpumodel;
 pub mod engine;
 pub mod fluid;

@@ -18,6 +18,8 @@
 //!   independent experiment runs across cores, collect by scenario index,
 //!   bit-identical to serial execution.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod fig5;
 pub mod parallel;
@@ -30,7 +32,7 @@ pub use admission::{
     Waiting,
 };
 pub use fig5::{run_fig5, Contention, Fig5Config, Fig5System};
-pub use parallel::{parallel_map, run_throughput_scenarios, worker_count, DomainPool};
+pub use parallel::{parallel_map, run_throughput_scenarios, worker_count};
 pub use testbed::{CostKind, Testbed, TestbedConfig};
 pub use throughput::{
     arrival_stream, build_core, run_throughput, run_throughput_on, AdaptationConfig,

@@ -19,7 +19,6 @@
 //! for draw.
 
 use crate::admission::{AdmissionConfig, QueueMetrics};
-use crate::parallel::DomainPool;
 use crate::testbed::{CostKind, Testbed, TestbedConfig};
 use crate::traffic::{generate_queries, qop_class, GeneratedQuery, QopMix, TrafficConfig};
 use quasaq_core::{PlanExecutor, PlanRequest, QopSecurity};
@@ -104,12 +103,6 @@ pub struct ThroughputConfig {
     /// live — so this is purely a constant-factor switch; the differential
     /// proptests hold it to that.
     pub plan_cache: bool,
-    /// Within-run parallelism: step independent server domains on this
-    /// many lanes (a [`crate::parallel::DomainPool`], including the
-    /// calling thread). `0` or `1` keeps the serial legacy stepping. The
-    /// cross-domain merge is serial either way, so results are
-    /// bit-identical at every setting.
-    pub domain_workers: usize,
     /// Stochastic link dynamics: a per-server capacity set-point timeline
     /// (sampled Markov/fading/diurnal trajectories or explicit
     /// set-points). Unlike `faults`, set-points also re-rate the
@@ -198,7 +191,6 @@ impl ThroughputConfig {
             arrival_period: None,
             arrival_burst: 1,
             plan_cache: false,
-            domain_workers: 0,
             links: None,
             adaptation: None,
         }
@@ -468,19 +460,6 @@ pub fn run_throughput_on(
     let mut fluid =
         FluidEngine::new(testbed.servers(), SharePolicy::FairShare, cfg.testbed.link_capacity_bps);
 
-    // Within-run parallelism: phase A of every advance (per-domain fluid
-    // stepping) runs on the pool; the merge stays serial, so the event
-    // order — and every downstream float — is identical to a serial run.
-    let pool = (cfg.domain_workers > 1).then(|| DomainPool::new(cfg.domain_workers));
-    macro_rules! advance_fluid {
-        ($t:expr) => {
-            match &pool {
-                Some(p) => fluid.advance_domains($t, p),
-                None => fluid.advance_to($t),
-            }
-        };
-    }
-
     let patience = cfg.admission.as_ref().map(|a| a.patience);
     // Mid-stream give-up deadlines, ordered for the event loop plus a
     // reverse index for completion-time removal. Both stay empty when the
@@ -566,7 +545,7 @@ pub fn run_throughput_on(
             dm.congested_secs += fluid.congested_servers() as f64 * (t - congested_t).as_secs_f64();
             congested_t = t;
         }
-        advance_fluid!(t);
+        fluid.advance_to(t);
         handle_done(
             fluid.drain_completions(),
             engine,
@@ -998,7 +977,7 @@ pub fn run_throughput_on(
         dm.congested_secs +=
             fluid.congested_servers() as f64 * (cfg.horizon - congested_t).as_secs_f64();
     }
-    advance_fluid!(cfg.horizon);
+    fluid.advance_to(cfg.horizon);
     handle_done(
         fluid.drain_completions(),
         engine,
@@ -1027,16 +1006,7 @@ pub fn run_throughput_on(
         }
     }
 
-    let (core, queue_metrics) = plane.into_parts();
-    // Env-gated diagnostic (EXPERIMENTS.md, plan-cache study): end-of-run
-    // cache counters on stderr, leaving the returned result untouched.
-    if std::env::var_os("QUASAQ_CACHE_DEBUG").is_some() {
-        if let SystemCore::Quasaq { manager, .. } = &core {
-            if let Some(s) = manager.plan_cache_stats() {
-                eprintln!("cache stats: {s:?}");
-            }
-        }
-    }
+    let (_, queue_metrics) = plane.into_parts();
     ThroughputResult {
         label: system.label(),
         outstanding: outstanding.sample(cfg.sample_step, cfg.horizon),
@@ -1261,7 +1231,6 @@ mod tests {
             arrival_period: None,
             arrival_burst: 1,
             plan_cache: false,
-            domain_workers: 0,
             links: None,
             adaptation: None,
         }
@@ -1348,34 +1317,6 @@ mod tests {
         let horizon = SimTime::from_micros(7);
         assert_eq!(horizon.halved(), SimTime::from_micros(3));
         assert!((r.stable_outstanding(horizon) - 6.0).abs() < 1e-12);
-    }
-
-    /// The tentpole determinism guarantee: stepping domains on a worker
-    /// pool must reproduce the serial run bit for bit — same series, same
-    /// counts, same floats — across all three systems, including a
-    /// fault-injected run whose crash handling reads mid-step state.
-    #[test]
-    fn domain_parallel_run_is_bit_identical_to_serial() {
-        let serial =
-            ThroughputConfig { admission: Some(AdmissionConfig::default()), ..short_cfg() };
-        let sharded = ThroughputConfig { domain_workers: 4, ..serial.clone() };
-        for system in
-            [SystemKind::Vdbms, SystemKind::VdbmsQosApi, SystemKind::Quasaq(CostKind::Lrb)]
-        {
-            assert_eq!(
-                run_throughput(system, &serial),
-                run_throughput(system, &sharded),
-                "{}",
-                system.label()
-            );
-        }
-        let faulty = ThroughputConfig { seed: 11, ..ThroughputConfig::availability() };
-        let faulty_sharded = ThroughputConfig { domain_workers: 3, ..faulty.clone() };
-        assert_eq!(
-            run_throughput(SystemKind::Quasaq(CostKind::Lrb), &faulty),
-            run_throughput(SystemKind::Quasaq(CostKind::Lrb), &faulty_sharded),
-            "fault-injected run"
-        );
     }
 
     #[test]
@@ -1573,7 +1514,6 @@ mod tests {
             arrival_period: None,
             arrival_burst: 1,
             plan_cache: false,
-            domain_workers: 0,
             links: None,
             adaptation: None,
         };
@@ -1661,8 +1601,8 @@ mod tests {
 
     /// Link set-points actually move capacity: a crushed server stretches
     /// its fair-share sessions into QoS violation, and the recovery
-    /// set-point ends the exposure. Replay and sharded runs agree bit for
-    /// bit on the stochastic timeline.
+    /// set-point ends the exposure. Replays agree bit for bit on the
+    /// stochastic timeline.
     #[test]
     fn link_set_points_degrade_and_recover_capacity() {
         let cfg = ThroughputConfig { links: Some(crush_server(ServerId(0), 0.3)), ..short_cfg() };
@@ -1671,8 +1611,6 @@ mod tests {
         assert_eq!(f.interrupted, 0, "set-points are not crashes");
         assert!(f.qos_violation_secs > 0.0, "a 70% collapse must stretch sessions");
         assert_eq!(r, run_throughput(SystemKind::Vdbms, &cfg), "replay");
-        let sharded = ThroughputConfig { domain_workers: 4, ..cfg.clone() };
-        assert_eq!(r, run_throughput(SystemKind::Vdbms, &sharded), "sharded");
     }
 
     /// The tentpole end-to-end claim: under a congesting link window the
@@ -1726,11 +1664,10 @@ mod tests {
     }
 
     /// The full stochastic stack — sampled Markov link process, adaptation,
-    /// brownout, admission queue — replays bit-identically and shards
-    /// bit-identically, which is what makes every degradation number in
-    /// the bench suite trustworthy.
+    /// brownout, admission queue — replays bit-identically, which is what
+    /// makes every degradation number in the bench suite trustworthy.
     #[test]
-    fn stochastic_runs_are_bit_identical_serial_vs_sharded() {
+    fn stochastic_runs_replay_bit_identically() {
         let sampled = LinkPlan::sample(
             17,
             ServerId::first_n(3),
@@ -1745,17 +1682,15 @@ mod tests {
             },
         );
         assert!(!sampled.is_empty(), "a 300 s horizon must sample transitions");
-        let serial = ThroughputConfig {
+        let cfg = ThroughputConfig {
             links: Some(sampled),
             adaptation: Some(AdaptationConfig::default()),
             admission: Some(AdmissionConfig::default()),
             ..short_cfg()
         };
-        let sharded = ThroughputConfig { domain_workers: 4, ..serial.clone() };
         for system in [SystemKind::Vdbms, SystemKind::Quasaq(CostKind::Lrb)] {
-            let a = run_throughput(system, &serial);
-            assert_eq!(a, run_throughput(system, &serial), "{} replay", system.label());
-            assert_eq!(a, run_throughput(system, &sharded), "{} sharded", system.label());
+            let a = run_throughput(system, &cfg);
+            assert_eq!(a, run_throughput(system, &cfg), "{} replay", system.label());
         }
     }
 }

@@ -145,7 +145,6 @@ fn throughput_ordering_matches_fig6_and_fig7() {
         admission: None,
         faults: None,
         arrival_period: None,
-        domain_workers: 0,
         qop_mix: QopMix::Uniform,
         arrival_burst: 1,
         plan_cache: false,
@@ -279,7 +278,6 @@ fn migration_extension_improves_skewed_throughput() {
         admission: None,
         faults: None,
         arrival_period: None,
-        domain_workers: 0,
         qop_mix: QopMix::Uniform,
         arrival_burst: 1,
         plan_cache: false,
@@ -328,7 +326,6 @@ fn utility_optimizer_trades_throughput_for_quality() {
         admission: None,
         faults: None,
         arrival_period: None,
-        domain_workers: 0,
         qop_mix: QopMix::Uniform,
         arrival_burst: 1,
         plan_cache: false,
@@ -362,7 +359,6 @@ fn whole_pipeline_is_deterministic() {
             admission: None,
             faults: None,
             arrival_period: None,
-            domain_workers: 0,
             qop_mix: QopMix::Uniform,
             arrival_burst: 1,
             plan_cache: false,
