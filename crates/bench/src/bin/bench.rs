@@ -27,9 +27,10 @@
 //! `--serve [--addr A] [--threads N] [--seed S]` runs a shell until killed;
 //! `--load [--quick]` is the service-shell throughput study — it first pins
 //! decision-identity against the in-process driver, then measures wall-clock
-//! admissions/sec through the loopback at 1/2/4 shell threads and splices a
-//! `"service"` section into `BENCH_throughput.json` (skipped in `--quick`,
-//! which is the CI smoke variant).
+//! decisions/sec through the loopback at 1/2/4 shell threads (~10^5
+//! requests per row, median and min..max over 3 interleaved samples) and
+//! splices a `"service"` section into `BENCH_throughput.json` (skipped in
+//! `--quick`, the CI smoke variant, which replays ~60 requests once).
 //!
 //! An unknown flag is an error (exit status 2), so a stale option in a
 //! script fails loudly instead of running some other mode.
@@ -200,7 +201,7 @@ struct CachedTiming {
     bit_identical: bool,
 }
 
-fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool) -> CachedTiming {
+fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool, reps: usize) -> CachedTiming {
     let horizon = SimTime::from_secs(if quick { 30 } else { 120 });
     let period_us = (3_000_000 / servers as u64).max(1);
     let uncached_cfg = ThroughputConfig {
@@ -220,7 +221,7 @@ fn run_cached(servers: u32, videos: usize, burst: usize, quick: bool) -> CachedT
     let cached_cfg = ThroughputConfig { plan_cache: true, ..uncached_cfg.clone() };
     let _ = Testbed::shared(uncached_cfg.testbed.clone());
     let ((uncached_ms, uncached), (cached_ms, cached)) = timed_pair(
-        reps_for(servers),
+        reps,
         || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &uncached_cfg),
         || run_throughput(SystemKind::Quasaq(CostKind::Lrb), &cached_cfg),
     );
@@ -430,15 +431,32 @@ fn run_gallery_mode() {
 }
 
 /// One `--load` measurement row: the loopback replay at a given shell
-/// thread count, striped over as many connections.
+/// thread count, striped over as many connections, sampled `wall_ms.len()`
+/// times. The counts are the first sample's.
 struct ServiceRow {
     threads: usize,
     queries: u64,
     admitted: u64,
     rejected: u64,
     queued: u64,
-    wall_ms: f64,
-    admissions_per_s: f64,
+    wall_ms: Vec<f64>,
+}
+
+impl ServiceRow {
+    /// Wall time as (median, min, max) in milliseconds.
+    fn wall(&self) -> (f64, f64, f64) {
+        let mut w = self.wall_ms.clone();
+        w.sort_by(f64::total_cmp);
+        let mid = w.len() / 2;
+        let median = if w.len() % 2 == 1 { w[mid] } else { (w[mid - 1] + w[mid]) / 2.0 };
+        (median, w[0], w[w.len() - 1])
+    }
+
+    /// Decisions (admitted, rejected or queued requests) per second at a
+    /// given wall time.
+    fn rate(&self, wall_ms: f64) -> f64 {
+        self.queries as f64 / (wall_ms / 1e3).max(1e-9)
+    }
 }
 
 /// `--serve` mode: run a shell until killed, for external load drivers.
@@ -465,7 +483,7 @@ fn run_serve_mode(args: &[String]) -> ! {
 ///
 /// First pins the refactor's acceptance claim — a single-connection
 /// loopback replay at a sub-clip horizon is decision-identical to the
-/// in-process driver — then measures wall-clock admissions/sec at
+/// in-process driver — then measures wall-clock decisions/sec at
 /// 1/2/4 shell threads and (full mode only) splices the rows into
 /// `BENCH_throughput.json` as a `"service"` section.
 fn run_load_mode(quick: bool) {
@@ -498,33 +516,74 @@ fn run_load_mode(quick: bool) {
     );
     assert!(identical, "loopback decisions diverged from the in-process driver");
 
-    let horizon = if quick { 60 } else { 300 };
-    let cfg = ThroughputConfig { horizon: SimTime::from_secs(horizon), ..ThroughputConfig::fig6() };
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let shell =
-            Shell::serve("127.0.0.1:0", ShellConfig { system, throughput: cfg.clone(), threads })
-                .expect("bind loopback");
-        let t0 = Instant::now();
-        let report = run_loopback(shell.addr(), &cfg, threads).expect("loopback replay");
-        let wall_ms = ms(t0);
-        shell.shutdown();
-        let admissions_per_s = report.admitted as f64 / (wall_ms / 1e3).max(1e-9);
+    // Full mode sizes each row to ~10^5 requests (a 3 ms mean
+    // interarrival over 300 simulated seconds) so a row takes seconds, not
+    // milliseconds, and samples every thread count 3 times, interleaved
+    // so drift on a shared box hits all rows alike. Quick mode keeps the
+    // CI-sized paper arrival stream and one sample.
+    let (cfg, reps) = if quick {
+        (ThroughputConfig { horizon: SimTime::from_secs(60), ..ThroughputConfig::fig6() }, 1)
+    } else {
+        let cfg = ThroughputConfig {
+            horizon: SimTime::from_secs(300),
+            arrival_period: Some(SimDuration::from_millis(3)),
+            ..ThroughputConfig::fig6()
+        };
+        (cfg, 3)
+    };
+    let mut rows: Vec<ServiceRow> = Vec::new();
+    for rep in 0..reps {
+        for (slot, threads) in [1usize, 2, 4].into_iter().enumerate() {
+            let shell = Shell::serve(
+                "127.0.0.1:0",
+                ShellConfig { system, throughput: cfg.clone(), threads },
+            )
+            .expect("bind loopback");
+            let t0 = Instant::now();
+            let report = run_loopback(shell.addr(), &cfg, threads).expect("loopback replay");
+            let wall_ms = ms(t0);
+            shell.shutdown();
+            if rep == 0 {
+                rows.push(ServiceRow {
+                    threads,
+                    queries: report.queries,
+                    admitted: report.admitted,
+                    rejected: report.rejected,
+                    queued: report.queued,
+                    wall_ms: vec![wall_ms],
+                });
+            } else {
+                let row = &mut rows[slot];
+                // With one connection the command order is fixed, so a
+                // repeat must decide exactly as the first sample did.
+                if threads == 1 {
+                    assert_eq!(
+                        (report.queries, report.admitted, report.rejected),
+                        (row.queries, row.admitted, row.rejected),
+                        "a repeated single-connection replay decided differently"
+                    );
+                }
+                row.wall_ms.push(wall_ms);
+            }
+        }
+    }
+    for r in &rows {
+        let (median, min, max) = r.wall();
         println!(
-            "  {threads} shell thread(s) / {threads} connection(s): {} queries \
-             ({} admitted, {} rejected, {} queued) in {wall_ms:.1} ms | \
-             {admissions_per_s:.0} admissions/s",
-            report.queries, report.admitted, report.rejected, report.queued
+            "  {} shell thread(s) / {} connection(s): {} queries ({} admitted, {} rejected, \
+             {} queued) | wall {median:.1} ms [{min:.1} .. {max:.1}] over {} rep(s) | \
+             {:.0} decisions/s [{:.0} .. {:.0}]",
+            r.threads,
+            r.threads,
+            r.queries,
+            r.admitted,
+            r.rejected,
+            r.queued,
+            r.wall_ms.len(),
+            r.rate(median),
+            r.rate(max),
+            r.rate(min),
         );
-        rows.push(ServiceRow {
-            threads,
-            queries: report.queries,
-            admitted: report.admitted,
-            rejected: report.rejected,
-            queued: report.queued,
-            wall_ms,
-            admissions_per_s,
-        });
     }
 
     if quick {
@@ -542,18 +601,26 @@ fn splice_service_section(rows: &[ServiceRow], identical: bool, cores: usize) {
     section.push_str(&format!("    \"decision_identical\": {identical},\n"));
     section.push_str("    \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let (median, min, max) = r.wall();
         section.push_str(&format!(
             "      {{\"shell_threads\": {}, \"connections\": {}, \"queries\": {}, \
-             \"admitted\": {}, \"rejected\": {}, \"queued\": {}, \"wall_ms\": {:.3}, \
-             \"admissions_per_s\": {:.1}}}{}\n",
+             \"admitted\": {}, \"rejected\": {}, \"queued\": {}, \"reps\": {}, \
+             \"wall_ms_median\": {:.3}, \"wall_ms_min\": {:.3}, \"wall_ms_max\": {:.3}, \
+             \"decisions_per_s_median\": {:.1}, \"decisions_per_s_min\": {:.1}, \
+             \"decisions_per_s_max\": {:.1}}}{}\n",
             r.threads,
             r.threads,
             r.queries,
             r.admitted,
             r.rejected,
             r.queued,
-            r.wall_ms,
-            r.admissions_per_s,
+            r.wall_ms.len(),
+            median,
+            min,
+            max,
+            r.rate(median),
+            r.rate(max),
+            r.rate(min),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -636,16 +703,24 @@ fn main() {
     }
 
     if smoke {
-        // CI smoke, seconds not minutes. Cached admission: the 3-server
-        // quick rung with flash-crowd bursts, full enumeration vs the
-        // memoized plan cache.
-        println!("smoke mode: 3-server cached-admission and brownout checks ({cores} core(s))");
-        let c = run_cached(3, 300, 4, true);
+        // CI smoke, seconds not minutes. Cached admission vs plain
+        // admission: the 3-server quick rung with flash-crowd bursts, and
+        // the 30-server rung under the Zipf/paper-skewed mix (secure
+        // requests included). The cache path ranks full plan lists while
+        // plain LRB admission scans without building them, so the
+        // identity is a whole-run check of one against the other.
         println!(
-            "  uncached {:>9.1} ms | cached {:>9.1} ms | bit-identical: {}",
-            c.uncached_ms, c.cached_ms, c.bit_identical
+            "smoke mode: 3- and 30-server cached-admission and brownout checks ({cores} core(s))"
         );
-        assert!(c.bit_identical, "cached admission diverged from full enumeration");
+        for (servers, videos, burst) in [(3, 300, 4), (30, 3000, 1)] {
+            let c = run_cached(servers, videos, burst, true, reps_for(servers));
+            println!(
+                "  {servers:>3} servers: uncached {:>9.1} ms | cached {:>9.1} ms | \
+                 bit-identical: {}",
+                c.uncached_ms, c.cached_ms, c.bit_identical
+            );
+            assert!(c.bit_identical, "cached admission diverged at {servers} servers");
+        }
         // Stochastic-link brownout smoke: crush every link to 5% mid-run.
         // The plain system must detect congestion and start shedding
         // arrivals by QoP class.
@@ -717,7 +792,7 @@ fn main() {
     let mut cached = Vec::new();
     for (servers, videos) in scale_cases(quick) {
         println!("running cached {servers}-server / {videos}-video ...");
-        let c = run_cached(servers, videos, 1, quick);
+        let c = run_cached(servers, videos, 1, quick, reps_for(servers));
         println!(
             "  uncached {:>9.1} ms | cached {:>9.1} ms | speedup {:.2}x | bit-identical: {}",
             c.uncached_ms,
@@ -729,8 +804,11 @@ fn main() {
     }
     let mut bulk = Vec::new();
     for (servers, videos) in scale_cases(quick) {
-        println!("running bulk {servers}-server / {videos}-video (burst 8) ...");
-        let c = run_cached(servers, videos, 8, quick);
+        // One sample at the top rung: its pair alone took about two
+        // minutes of a full run at three samples.
+        let reps = if servers >= 100 { 1 } else { reps_for(servers) };
+        println!("running bulk {servers}-server / {videos}-video (burst 8, {reps} rep(s)) ...");
+        let c = run_cached(servers, videos, 8, quick, reps);
         println!(
             "  uncached {:>9.1} ms | cached {:>9.1} ms | speedup {:.2}x | bit-identical: {}",
             c.uncached_ms,

@@ -46,6 +46,10 @@ impl CostModel for LrbModel {
         let scores: Vec<f64> = subset.iter().map(|&i| self.cost(&plans[i], api)).collect();
         rank_subset_by_score(subset, &scores)
     }
+
+    fn ranks_by_lrb_cost(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -64,6 +64,17 @@ pub trait CostModel: Send {
         let compact: Vec<Plan> = subset.iter().map(|&i| plans[i].clone()).collect();
         self.rank(&compact, api, rng).into_iter().map(|j| subset[j]).collect()
     }
+
+    /// Whether `rank` orders plans exactly as [`LrbModel`] does: ascending
+    /// `api.max_fill_with(&plan.resources)` by `total_cmp`, ties by index,
+    /// with no RNG draw. A model that says so lets the
+    /// [`QualityManager`](crate::QualityManager) admit in one scan that
+    /// builds only the winning plan; see DESIGN.md's admission-kernel
+    /// section. The default, `false`, keeps the full generate → rank →
+    /// reserve path, so wrappers and other models stay on it.
+    fn ranks_by_lrb_cost(&self) -> bool {
+        false
+    }
 }
 
 /// Ranks indices ascending by a score (stable on ties), a helper shared

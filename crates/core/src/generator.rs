@@ -21,12 +21,12 @@
 use crate::plan::Plan;
 use crate::qop::QopSecurity;
 use quasaq_media::{
-    CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, Transcode, VideoFormat,
-    VideoId,
+    CipherAlgo, DeliveryCostModel, DropStrategy, FrameRate, QosRange, QualitySpec, Transcode,
+    VideoFormat, VideoId,
 };
-use quasaq_qosapi::CompositeQosApi;
+use quasaq_qosapi::{CompositeQosApi, ResourceKey};
 use quasaq_sim::ServerId;
-use quasaq_store::MetadataEngine;
+use quasaq_store::{MetadataEngine, ObjectRecord};
 
 /// What the Quality Manager plans for: a resolved logical object plus the
 /// query's QoS component.
@@ -70,6 +70,64 @@ impl Default for GeneratorConfig {
     }
 }
 
+/// One activity chain of the plan space: a replica (A1) with its
+/// delivery (A4) and frame-dropping strategy (A3) fixed, plus the figures
+/// that depend on nothing else. The chain's plans differ only in target
+/// site (A2) and cipher (A5); see [`PlanGenerator::for_each_chain`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain<'e> {
+    /// A1: the replica to retrieve.
+    object: &'e ObjectRecord,
+    /// A4: optional online transcode.
+    transcode: Option<Transcode>,
+    /// A3: runtime frame-dropping strategy.
+    drop: DropStrategy,
+    /// The application QoS delivered to the client.
+    delivered: QualitySpec,
+    /// Mean delivered bandwidth in bytes/second.
+    delivered_bps: f64,
+    /// Stream buffer memory in bytes.
+    buffer_bytes: f64,
+}
+
+impl Chain<'_> {
+    /// The demand entries of this chain served from `target_server` with a
+    /// cipher costing `cpu_share` (see [`Plan::demand_entries`]).
+    pub(crate) fn demand_entries(
+        &self,
+        target_server: ServerId,
+        cpu_share: f64,
+    ) -> [Option<(ResourceKey, f64)>; 5] {
+        Plan::demand_entries(
+            self.object,
+            target_server,
+            self.delivered_bps,
+            cpu_share,
+            self.buffer_bytes,
+        )
+    }
+
+    /// The full plan for one `(target, cipher)` of this chain.
+    pub(crate) fn plan(&self, target_server: ServerId, cipher: CipherAlgo, cpu_share: f64) -> Plan {
+        Plan {
+            object: self.object.clone(),
+            target_server,
+            drop: self.drop,
+            transcode: self.transcode,
+            cipher,
+            delivered: self.delivered,
+            delivered_bps: self.delivered_bps,
+            resources: Plan::assemble_resources(
+                self.object,
+                target_server,
+                self.delivered_bps,
+                cpu_share,
+                self.buffer_bytes,
+            ),
+        }
+    }
+}
+
 /// The Plan Generator.
 #[derive(Debug, Clone)]
 pub struct PlanGenerator {
@@ -106,30 +164,53 @@ impl PlanGenerator {
         out: &mut Vec<Plan>,
     ) {
         out.clear();
+        self.for_each_chain(engine, request, |chain, targets, ciphers| {
+            for &target_server in targets {
+                for &(cipher, cpu_share) in ciphers {
+                    out.push(chain.plan(target_server, cipher, cpu_share));
+                }
+            }
+        });
+    }
+
+    /// Walks the plan space one activity chain at a time, in plan order.
+    ///
+    /// Each call of `visit` gets a [`Chain`] (replica × delivery × drop),
+    /// the target sites it fans out to (A2), and the accepted ciphers (A5)
+    /// each paired with its CPU share. The chain's plans are
+    /// `chain.plan(target, cipher, cpu_share)` for every target, and for
+    /// each target every cipher — target outer, cipher inner — which is
+    /// exactly the order [`generate_into`](Self::generate_into) lists them
+    /// in. Allocation-free: admission kernels score candidates from these
+    /// figures without building a [`Plan`] each.
+    pub(crate) fn for_each_chain<'e>(
+        &self,
+        engine: &'e MetadataEngine,
+        request: &PlanRequest,
+        mut visit: impl FnMut(&Chain<'e>, &[ServerId], &[(CipherAlgo, f64)]),
+    ) {
         let Some(meta) = engine.video(request.video) else { return };
         let gop = &meta.gop;
-        let servers: Vec<ServerId> = engine.sites().collect();
 
-        // A5: encryption — depends only on the request, so build it once
+        // A5: encryption — depends only on the request, so choose it once
         // for all replicas.
-        let ciphers: Vec<CipherAlgo> = CipherAlgo::ALL
-            .into_iter()
-            .filter(|c| request.security.accepts(*c))
-            .filter(|c| {
-                // Performance pitfall: encrypting an open stream is pure
-                // waste.
-                !self.cfg.prune_wasteful
-                    || request.security != QopSecurity::Open
-                    || !c.is_encrypting()
-            })
-            .collect();
+        let mut ciphers = [CipherAlgo::None; CipherAlgo::ALL.len()];
+        let mut n_ciphers = 0;
+        for cipher in CipherAlgo::ALL {
+            // Performance pitfall: encrypting an open stream is pure waste.
+            let wasteful = self.cfg.prune_wasteful
+                && request.security == QopSecurity::Open
+                && cipher.is_encrypting();
+            if request.security.accepts(cipher) && !wasteful {
+                ciphers[n_ciphers] = cipher;
+                n_ciphers += 1;
+            }
+        }
+        let ciphers = &ciphers[..n_ciphers];
+        // Per-cipher CPU shares, hoisted out of the target-site fan-out.
+        let mut shares = [(CipherAlgo::None, 0.0); CipherAlgo::ALL.len()];
 
-        // A4 scratch buffer, reused across replicas; likewise the
-        // per-cipher CPU shares hoisted out of the target-site fan-out.
-        let mut deliveries: Vec<Option<Transcode>> = Vec::new();
-        let mut cpu_shares: Vec<f64> = Vec::new();
-
-        for record in engine.replicas(request.video) {
+        for record in engine.replica_records(request.video) {
             let spec = record.object.spec;
             let stored_rate = record.object.rate_bps as f64;
             let stored_fps = spec.frame_rate.fps();
@@ -141,35 +222,34 @@ impl PlanGenerator {
 
             // A4: transcoding targets — deliver as-is when in range, or
             // transcode down to the cheapest in-range quality.
-            deliveries.clear();
-            if request.qos.accepts(&spec) {
-                deliveries.push(None);
-            }
-            if self.cfg.allow_transcode {
+            let direct = request.qos.accepts(&spec).then_some(None);
+            let transcoded = if self.cfg.allow_transcode {
                 // Prefer the MPEG-1 streaming format when acceptable.
                 let fmt = if request.qos.accepts_format(VideoFormat::Mpeg1) {
                     VideoFormat::Mpeg1
                 } else {
                     spec.format
                 };
-                if let Some(target) = request.qos.cheapest_target(&spec, fmt) {
-                    if target != spec {
-                        if let Ok(t) = Transcode::plan(spec, target) {
-                            deliveries.push(Some(t));
-                        }
-                    }
-                }
-            }
+                request
+                    .qos
+                    .cheapest_target(&spec, fmt)
+                    .filter(|target| *target != spec)
+                    .and_then(|target| Transcode::plan(spec, target).ok())
+                    .map(Some)
+            } else {
+                None
+            };
 
             // A2: target sites.
             let local = [record.object.server];
-            let targets: &[ServerId] = if self.cfg.allow_remote { &servers } else { &local };
+            let targets: &[ServerId] =
+                if self.cfg.allow_remote { engine.site_ids() } else { &local };
 
             // A3: frame dropping.
             let drops: &[DropStrategy] =
                 if self.cfg.allow_drop { &DropStrategy::ALL } else { &[DropStrategy::None] };
 
-            for transcode in &deliveries {
+            for transcode in [direct, transcoded].into_iter().flatten() {
                 let base = match transcode {
                     Some(t) => *t.target(),
                     None => spec,
@@ -192,43 +272,28 @@ impl PlanGenerator {
                         transcode.as_ref(),
                         drop,
                     );
-                    let buffer_bytes = self.cfg.cost.buffer_bytes(delivered_bps);
-                    cpu_shares.clear();
-                    for &cipher in &ciphers {
-                        cpu_shares.push(
-                            self.cfg.cost.session_cpu_share(
-                                stored_rate,
-                                stored_fps,
-                                gop,
-                                transcode.as_ref(),
-                                drop,
-                                cipher,
-                            ) * self.cfg.cost.reservation_headroom,
-                        );
+                    for (slot, &cipher) in shares.iter_mut().zip(ciphers) {
+                        let share = self.cfg.cost.session_cpu_share(
+                            stored_rate,
+                            stored_fps,
+                            gop,
+                            transcode.as_ref(),
+                            drop,
+                            cipher,
+                        ) * self.cfg.cost.reservation_headroom;
+                        *slot = (cipher, share);
                     }
                     let mut delivered = base;
                     delivered.frame_rate = FrameRate::from_fps(effective_fps);
-                    for &target_server in targets {
-                        for (&cipher, &cpu_share) in ciphers.iter().zip(&cpu_shares) {
-                            let resources = Plan::assemble_resources(
-                                record,
-                                target_server,
-                                delivered_bps,
-                                cpu_share,
-                                buffer_bytes,
-                            );
-                            out.push(Plan {
-                                object: record.clone(),
-                                target_server,
-                                drop,
-                                transcode: *transcode,
-                                cipher,
-                                delivered,
-                                delivered_bps,
-                                resources,
-                            });
-                        }
-                    }
+                    let chain = Chain {
+                        object: record,
+                        transcode,
+                        drop,
+                        delivered,
+                        delivered_bps,
+                        buffer_bytes: self.cfg.cost.buffer_bytes(delivered_bps),
+                    };
+                    visit(&chain, targets, &shares[..n_ciphers]);
                 }
             }
         }

@@ -11,12 +11,13 @@
 //! renegotiated.
 
 use crate::cost::CostModel;
-use crate::generator::{PlanGenerator, PlanRequest};
+use crate::generator::{Chain, PlanGenerator, PlanRequest};
 use crate::plan::Plan;
 use crate::plancache::{PlanCache, PlanCacheKey, PlanCacheStats};
 use crate::qop::UserProfile;
-use quasaq_qosapi::{CompositeQosApi, ReservationId};
-use quasaq_sim::Rng;
+use quasaq_media::CipherAlgo;
+use quasaq_qosapi::{BucketLevel, CompositeQosApi, ReservationId, ResourceKey};
+use quasaq_sim::{Rng, ServerId};
 use quasaq_store::MetadataEngine;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -101,6 +102,10 @@ pub struct QualityManager {
     /// every time showed up in profiles. Holds no state between calls
     /// beyond its allocation.
     plan_buf: Vec<Plan>,
+    /// Recycled scratch of the LRB admission kernel: the per-query bucket
+    /// snapshot and the scores of the capacity-feasible candidates.
+    levels: Vec<Option<BucketLevel>>,
+    scores: Vec<f64>,
     /// Memoized enumeration results (`None` = caching off, the default).
     /// Cached and uncached admission are bit-identical — the cache holds
     /// only the pure enumeration output plus a feasibility snapshot, and
@@ -125,6 +130,8 @@ impl QualityManager {
             cost_model,
             last_stats: PlanningStats::default(),
             plan_buf: Vec::new(),
+            levels: Vec::new(),
+            scores: Vec::new(),
             plan_cache: None,
             cache_epoch: 0,
         }
@@ -194,14 +201,19 @@ impl QualityManager {
         if self.plan_cache.is_some() {
             return self.process_cached(engine, request, rng);
         }
-        self.process_uncached(engine, request, rng)
+        if self.cost_model.ranks_by_lrb_cost() {
+            return self.process_lrb(engine, request);
+        }
+        self.process_full(engine, request, rng)
     }
 
-    /// The plain (uncached) admission pipeline. Also serves as the
-    /// doorkeeper's bypass lane when caching is on: a first-touch miss
-    /// runs here so one-hit-wonder keys cost exactly what caching-off
-    /// costs — no entry allocation, no eviction pressure.
-    fn process_uncached(
+    /// The full admission pipeline: generate every plan, drop the
+    /// capacity-infeasible ones, rank the rest, and reserve the first that
+    /// fits. Also serves as the doorkeeper's bypass lane when caching is
+    /// on: a first-touch miss runs here so one-hit-wonder keys cost
+    /// exactly what caching-off costs — no entry allocation, no eviction
+    /// pressure.
+    fn process_full(
         &mut self,
         engine: &MetadataEngine,
         request: &PlanRequest,
@@ -231,6 +243,74 @@ impl QualityManager {
         }
         self.last_stats.attempts = order.len();
         Err(Rejection::AdmissionFailed)
+    }
+
+    /// The LRB admission kernel: the decision and [`PlanningStats`] of
+    /// [`process_full`](Self::process_full) under an LRB-ranked model, in
+    /// one scan that builds only the winning [`Plan`].
+    ///
+    /// The full path reserves the first plan in `(score, index)` order
+    /// whose every bucket admits its share; failed reservations change
+    /// nothing, so that plan is the *reservable* candidate with the least
+    /// `(score, index)`. The scan scores each `(chain, target, cipher)`
+    /// candidate from one snapshot of the buckets and keeps the best
+    /// reservable one under strict `total_cmp` less-than, so ties go to
+    /// the lower index. The attempt count is one plus the feasible
+    /// candidates ranked before the winner, counted from the kept scores.
+    fn process_lrb(
+        &mut self,
+        engine: &MetadataEngine,
+        request: &PlanRequest,
+    ) -> Result<AdmittedPlan, Rejection> {
+        struct Best<'e> {
+            score: f64,
+            rank: usize,
+            chain: Chain<'e>,
+            target: ServerId,
+            cipher: CipherAlgo,
+            cpu_share: f64,
+        }
+        self.api.levels_into(&mut self.levels);
+        self.scores.clear();
+        let (levels, scores) = (&self.levels, &mut self.scores);
+        let mut generated = 0;
+        let mut best: Option<Best> = None;
+        self.generator.for_each_chain(engine, request, |chain, targets, ciphers| {
+            generated += targets.len() * ciphers.len();
+            for &target in targets {
+                for &(cipher, cpu_share) in ciphers {
+                    let demand = chain.demand_entries(target, cpu_share);
+                    let Some((score, reservable)) = lrb_score(levels, &demand) else { continue };
+                    if reservable && best.as_ref().is_none_or(|b| score.total_cmp(&b.score).is_lt())
+                    {
+                        let rank = scores.len();
+                        best = Some(Best { score, rank, chain: *chain, target, cipher, cpu_share });
+                    }
+                    scores.push(score);
+                }
+            }
+        });
+        self.last_stats.generated = generated;
+        self.last_stats.feasible = self.scores.len();
+        if self.scores.is_empty() {
+            self.last_stats.attempts = 0;
+            return Err(Rejection::NoFeasiblePlan);
+        }
+        let Some(best) = best else {
+            self.last_stats.attempts = self.scores.len();
+            return Err(Rejection::AdmissionFailed);
+        };
+        let ahead = self
+            .scores
+            .iter()
+            .enumerate()
+            .filter(|&(j, s)| s.total_cmp(&best.score).then(j.cmp(&best.rank)).is_lt())
+            .count();
+        self.last_stats.attempts = ahead + 1;
+        let plan = best.chain.plan(best.target, best.cipher, best.cpu_share);
+        let reservation =
+            self.api.reserve(&plan.resources).expect("the scan found every bucket reservable");
+        Ok(AdmittedPlan { plan, reservation })
     }
 
     /// The cached admission path. Memoizes only the *pure* enumeration
@@ -270,7 +350,7 @@ impl QualityManager {
                 // First touches take the plain pipeline instead (same
                 // decisions, cost identical to caching-off).
                 if !self.plan_cache.as_mut().expect("caching on").should_store(&key) {
-                    return self.process_uncached(engine, request, rng);
+                    return self.process_full(engine, request, rng);
                 }
                 self.enumerate_and_insert(engine, request, key)
             }
@@ -492,6 +572,36 @@ impl QualityManager {
         }
         Err(Rejection::AdmissionFailed)
     }
+}
+
+/// One candidate's LRB score from a bucket snapshot, mirroring what the
+/// full path computes from its [`Plan`]: `None` when the capacity cut of
+/// [`PlanGenerator::is_feasible`] drops it, else its
+/// [`max_fill_with`](CompositeQosApi::max_fill_with) and whether
+/// [`admits`](CompositeQosApi::admits) would pass right now. Entries run
+/// in `ResourceKey` order and every one is checked, so a malformed amount
+/// panics here just as building the plan's vector would.
+fn lrb_score(
+    levels: &[Option<BucketLevel>],
+    demand: &[Option<(ResourceKey, f64)>; 5],
+) -> Option<(f64, bool)> {
+    let (mut max, mut feasible, mut reservable) = (0.0f64, true, true);
+    for &(key, amount) in demand.iter().flatten() {
+        // `ResourceVector::add`: refuse malformed amounts, drop zeros.
+        assert!(amount >= 0.0 && amount.is_finite(), "resource amounts must be non-negative");
+        if amount == 0.0 {
+            continue;
+        }
+        match levels.get(key.slot()).copied().flatten() {
+            Some(level) => {
+                feasible &= amount <= level.capacity + 1e-9;
+                reservable &= level.can_reserve(amount);
+                max = max.max(level.fill_with(amount));
+            }
+            None => feasible = false,
+        }
+    }
+    feasible.then_some((max, reservable))
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use quasaq_media::{
 use quasaq_qosapi::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 use quasaq_store::ObjectRecord;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One fully specified delivery plan.
@@ -110,21 +111,47 @@ impl Plan {
         cpu_share: f64,
         buffer_bytes: f64,
     ) -> ResourceVector {
-        let stored_rate = object.object.rate_bps as f64;
         let mut v = ResourceVector::with_capacity(5);
-        let source = object.object.server;
-        // The source site reads the replica from disk.
-        v.add(ResourceKey::new(source, ResourceKind::DiskBandwidth), stored_rate);
-        if source != target_server {
-            // Inter-server transfer consumes the source's outbound link at
-            // the stored rate; the target receives and re-serves.
-            v.add(ResourceKey::new(source, ResourceKind::NetBandwidth), stored_rate);
+        for (key, amount) in
+            Plan::demand_entries(object, target_server, delivered_bps, cpu_share, buffer_bytes)
+                .into_iter()
+                .flatten()
+        {
+            v.add(key, amount);
         }
-        // The target site runs the pipeline and streams to the client.
-        v.add(ResourceKey::new(target_server, ResourceKind::Cpu), cpu_share.min(1.0));
-        v.add(ResourceKey::new(target_server, ResourceKind::NetBandwidth), delivered_bps);
-        v.add(ResourceKey::new(target_server, ResourceKind::Memory), buffer_bytes);
         v
+    }
+
+    /// The `(bucket, amount)` entries [`assemble_resources`](Self::assemble_resources)
+    /// adds, in ascending [`ResourceKey`] order: four for a local plan, five
+    /// for a cross-server one (the last slot is then `None`). Amounts are
+    /// as computed — `ResourceVector::add` is what drops zeros and refuses
+    /// negative or non-finite ones — so an admission kernel that scores
+    /// candidates without building their vectors walks exactly these.
+    pub(crate) fn demand_entries(
+        object: &ObjectRecord,
+        target_server: ServerId,
+        delivered_bps: f64,
+        cpu_share: f64,
+        buffer_bytes: f64,
+    ) -> [Option<(ResourceKey, f64)>; 5] {
+        let stored_rate = object.object.rate_bps as f64;
+        let source = object.object.server;
+        let key = ResourceKey::new;
+        // The target site runs the pipeline and streams to the client.
+        let cpu = (key(target_server, ResourceKind::Cpu), cpu_share.min(1.0));
+        let net = (key(target_server, ResourceKind::NetBandwidth), delivered_bps);
+        let memory = (key(target_server, ResourceKind::Memory), buffer_bytes);
+        // The source site reads the replica from disk.
+        let disk = (key(source, ResourceKind::DiskBandwidth), stored_rate);
+        // Inter-server transfer consumes the source's outbound link at the
+        // stored rate; the target receives and re-serves.
+        let transfer = (key(source, ResourceKind::NetBandwidth), stored_rate);
+        match source.cmp(&target_server) {
+            Ordering::Equal => [Some(cpu), Some(net), Some(disk), Some(memory), None],
+            Ordering::Less => [Some(transfer), Some(disk), Some(cpu), Some(net), Some(memory)],
+            Ordering::Greater => [Some(cpu), Some(net), Some(memory), Some(transfer), Some(disk)],
+        }
     }
 }
 
@@ -224,6 +251,22 @@ mod tests {
         assert!(v.get(ResourceKey::new(ServerId(1), ResourceKind::NetBandwidth)) > 0.0);
         assert!(v.get(ResourceKey::new(ServerId(0), ResourceKind::NetBandwidth)) > 0.0);
         assert!(v.get(ResourceKey::new(ServerId(0), ResourceKind::Cpu)) > 0.0);
+    }
+
+    #[test]
+    fn demand_entries_are_the_vector_in_key_order() {
+        for (source, target) in [(1, 1), (0, 2), (2, 0)] {
+            let rec = record(source);
+            let entries: Vec<(ResourceKey, f64)> =
+                Plan::demand_entries(&rec, ServerId(target), 48_000.0, 0.07, 96_000.0)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+            assert_eq!(entries.len(), if source == target { 4 } else { 5 });
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "{entries:?}");
+            let v = Plan::assemble_resources(&rec, ServerId(target), 48_000.0, 0.07, 96_000.0);
+            assert_eq!(v.iter().collect::<Vec<_>>(), entries);
+        }
     }
 
     #[test]

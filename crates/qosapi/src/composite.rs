@@ -14,7 +14,7 @@
 //! bucket iteration stays in global `(server, kind)` order, so the
 //! sharded layout is observationally identical to a flat bucket map.
 
-use crate::manager::{BucketFull, LeaseId, ResourceManager};
+use crate::manager::{BucketFull, BucketLevel, LeaseId, ResourceManager};
 use crate::resource::{ResourceKey, ResourceKind, ResourceVector};
 use quasaq_sim::ServerId;
 
@@ -208,6 +208,20 @@ impl CompositeQosApi {
             }
         }
         h
+    }
+
+    /// Snapshots every bucket's level into `out` (cleared first), indexed by
+    /// [`ResourceKey::slot`]. Unmanaged buckets (never registered, or on a
+    /// failed server) are `None`; a key whose slot lies past the end of
+    /// `out` is unmanaged too. O(buckets), and allocation-free once `out`
+    /// has grown.
+    pub fn levels_into(&self, out: &mut Vec<Option<BucketLevel>>) {
+        out.clear();
+        out.extend(
+            self.domains
+                .iter()
+                .flat_map(|d| d.managers.iter().map(|m| m.as_ref().map(ResourceManager::level))),
+        );
     }
 
     /// Current fill fraction of a bucket (`None` when unmanaged).
@@ -436,6 +450,26 @@ mod tests {
         assert_eq!(api.buckets().count(), 12);
         assert_eq!(api.capacity(key(2, ResourceKind::NetBandwidth)), Some(3_200_000.0));
         assert_eq!(api.capacity(key(3, ResourceKind::Cpu)), None);
+    }
+
+    #[test]
+    fn levels_snapshot_every_bucket_by_slot() {
+        let mut api = cluster();
+        api.reserve(&stream_demand(1, 193_000.0, 0.04)).unwrap();
+        api.set_capacity(key(2, ResourceKind::Memory), 7.0);
+        api.fail_server(ServerId(0));
+        let mut levels = Vec::new();
+        api.levels_into(&mut levels);
+        for s in 0..4 {
+            for kind in ResourceKind::ALL {
+                let k = key(s, kind);
+                let level = levels.get(k.slot()).copied().flatten();
+                assert_eq!(level.map(|l| l.used), api.used(k), "{k}");
+                assert_eq!(level.map(|l| l.capacity), api.capacity(k), "{k}");
+            }
+        }
+        assert!(levels[key(0, ResourceKind::Cpu).slot()].is_none(), "failed server");
+        assert!(levels.len() <= key(3, ResourceKind::Cpu).slot(), "unregistered server");
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub mod manager;
 pub mod resource;
 
 pub use composite::{AdmissionError, CompositeQosApi, ReservationId};
-pub use manager::{BucketFull, LeaseId, ResourceManager};
+pub use manager::{BucketFull, BucketLevel, LeaseId, ResourceManager};
 pub use resource::{ResourceKey, ResourceKind, ResourceVector};

@@ -36,6 +36,39 @@ impl std::fmt::Display for BucketFull {
 
 impl std::error::Error for BucketFull {}
 
+/// One bucket's `(used, capacity)` at a point in time, with the admission
+/// arithmetic every path shares: [`ResourceManager`] answers through it,
+/// and admission kernels that snapshot the buckets once per query
+/// (see [`CompositeQosApi::levels_into`](crate::CompositeQosApi::levels_into))
+/// get bit-identical answers without touching the managers again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BucketLevel {
+    /// Currently reserved amount.
+    pub used: f64,
+    /// Total capacity.
+    pub capacity: f64,
+}
+
+impl BucketLevel {
+    /// Amount still reservable (never negative, even when a re-rate left
+    /// the bucket oversubscribed).
+    pub fn available(&self) -> f64 {
+        (self.capacity - self.used).max(0.0)
+    }
+
+    /// Fill level if `amount` more were reserved: the bucket's term in
+    /// Eq. (1).
+    pub fn fill_with(&self, amount: f64) -> f64 {
+        (self.used + amount) / self.capacity
+    }
+
+    /// Whether `amount` can be reserved right now. Malformed demands
+    /// (negative, NaN, infinite) never can.
+    pub fn can_reserve(&self, amount: f64) -> bool {
+        amount >= 0.0 && amount.is_finite() && amount <= self.available() + 1e-9
+    }
+}
+
 /// Tracks capacity and reservations for one resource bucket.
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
@@ -68,9 +101,14 @@ impl ResourceManager {
         self.used
     }
 
+    /// The bucket's current `(used, capacity)`.
+    pub(crate) fn level(&self) -> BucketLevel {
+        BucketLevel { used: self.used, capacity: self.capacity }
+    }
+
     /// Amount still reservable.
     pub fn available(&self) -> f64 {
-        (self.capacity - self.used).max(0.0)
+        self.level().available()
     }
 
     /// Fraction of capacity in use — the bucket's fill level in the LRB
@@ -82,7 +120,7 @@ impl ResourceManager {
     /// Fill level if `amount` more were reserved (may exceed 1.0, which
     /// admission rejects).
     pub fn fill_with(&self, amount: f64) -> f64 {
-        (self.used + amount) / self.capacity
+        self.level().fill_with(amount)
     }
 
     /// Number of outstanding leases.
@@ -95,7 +133,7 @@ impl ResourceManager {
     /// from plan resource vectors, so garbage must bounce as a rejection
     /// rather than corrupt `used`.
     pub fn can_reserve(&self, amount: f64) -> bool {
-        amount >= 0.0 && amount.is_finite() && amount <= self.available() + 1e-9
+        self.level().can_reserve(amount)
     }
 
     /// Reserves `amount`, returning a lease. Malformed (negative/non-finite)

@@ -57,6 +57,13 @@ impl ResourceKey {
     pub fn new(server: ServerId, kind: ResourceKind) -> Self {
         ResourceKey { server, kind }
     }
+
+    /// Dense position of this bucket in `(server, kind)` order: the index
+    /// of its entry in [`CompositeQosApi::levels_into`](crate::CompositeQosApi::levels_into)'s
+    /// snapshot.
+    pub fn slot(&self) -> usize {
+        self.server.0 as usize * ResourceKind::ALL.len() + self.kind as usize
+    }
 }
 
 impl fmt::Display for ResourceKey {

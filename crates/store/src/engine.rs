@@ -77,6 +77,9 @@ pub struct MetadataEngine {
     content: BTreeMap<VideoId, VideoMeta>,
     /// Object records partitioned by owning server.
     sites: BTreeMap<ServerId, BTreeMap<PhysicalOid, ObjectRecord>>,
+    /// The keys of `sites`, ascending: the plan generator fans every
+    /// activity chain out over them.
+    site_ids: Vec<ServerId>,
     /// Distribution metadata: logical OID -> replica locations.
     directory: BTreeMap<VideoId, Vec<(PhysicalOid, ServerId)>>,
     /// Per-site caches of remote records.
@@ -93,7 +96,14 @@ impl MetadataEngine {
             sites.insert(s, BTreeMap::new());
             caches.insert(s, SiteCache::new(cache_capacity));
         }
-        MetadataEngine { content: BTreeMap::new(), sites, directory: BTreeMap::new(), caches }
+        let site_ids = sites.keys().copied().collect();
+        MetadataEngine {
+            content: BTreeMap::new(),
+            sites,
+            site_ids,
+            directory: BTreeMap::new(),
+            caches,
+        }
     }
 
     /// Registers a logical video's content metadata.
@@ -155,10 +165,17 @@ impl MetadataEngine {
     /// Plan Generator's raw material ("A given logical object may be
     /// replicated at multiple sites and further with different formats").
     pub fn replicas(&self, video: VideoId) -> Vec<&ObjectRecord> {
-        let Some(locs) = self.directory.get(&video) else { return Vec::new() };
-        locs.iter()
+        self.replica_records(video).collect()
+    }
+
+    /// [`replicas`](Self::replicas) without collecting: the same records in
+    /// the same order.
+    pub fn replica_records(&self, video: VideoId) -> impl Iterator<Item = &ObjectRecord> {
+        self.directory
+            .get(&video)
+            .into_iter()
+            .flatten()
             .filter_map(|&(oid, server)| self.sites.get(&server).and_then(|s| s.get(&oid)))
-            .collect()
     }
 
     /// Direct (location-transparent) record lookup.
@@ -219,6 +236,7 @@ impl MetadataEngine {
     /// caches are purged of its records. Returns the lost physical OIDs.
     pub fn fail_site(&mut self, server: ServerId) -> Vec<PhysicalOid> {
         let Some(partition) = self.sites.remove(&server) else { return Vec::new() };
+        self.site_ids.retain(|&s| s != server);
         self.caches.remove(&server);
         let lost: Vec<PhysicalOid> = partition.keys().copied().collect();
         for locs in self.directory.values_mut() {
@@ -234,7 +252,12 @@ impl MetadataEngine {
 
     /// The sites this engine spans.
     pub fn sites(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.sites.keys().copied()
+        self.site_ids.iter().copied()
+    }
+
+    /// The sites this engine spans, ascending.
+    pub fn site_ids(&self) -> &[ServerId] {
+        &self.site_ids
     }
 }
 
@@ -367,6 +390,7 @@ mod tests {
         assert_eq!(e.replicas(VideoId(0)).len(), 1);
         assert!(e.lookup_from(ServerId(0), PhysicalOid(2)).is_none());
         assert_eq!(e.sites().count(), 2);
+        assert_eq!(e.site_ids(), &[ServerId(0), ServerId(2)]);
         // Failing an unknown site is a no-op.
         assert!(e.fail_site(ServerId(9)).is_empty());
     }

@@ -15,7 +15,7 @@
 
 use crate::throughput::{run_throughput, SystemKind, ThroughputConfig, ThroughputResult};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of worker threads a fan-out over `items` scenarios will use:
@@ -37,7 +37,10 @@ pub fn worker_count(items: usize) -> usize {
 ///
 /// Panics in `f` propagate with their original payload: every worker is
 /// joined and the first failed join's payload is re-raised, so a failing
-/// scenario fails the whole sweep rather than vanishing.
+/// scenario fails the whole sweep rather than vanishing. A panic also
+/// stops the sweep early: the panicking worker raises a shared flag as it
+/// unwinds, and every worker checks it before claiming another item, so
+/// only items already running finish.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -50,14 +53,18 @@ where
     }
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let result = f(i, item);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
+                scope.spawn(|| {
+                    let _raise_on_unwind = FailFlag(&failed);
+                    while !failed.load(Ordering::Relaxed) {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        let result = f(i, item);
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    }
                 })
             })
             .collect();
@@ -79,6 +86,18 @@ where
             slot.into_inner().expect("result slot poisoned").expect("every index was visited")
         })
         .collect()
+}
+
+/// Raises its flag when dropped during a panic: the worker's signal to the
+/// others that the sweep has failed.
+struct FailFlag<'a>(&'a AtomicBool);
+
+impl Drop for FailFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Runs every `(system, config)` scenario concurrently via
@@ -126,6 +145,28 @@ mod tests {
             }
             i
         });
+    }
+
+    /// After one item panics, no worker claims another: a failing long
+    /// sweep reports at once instead of after every remaining scenario.
+    #[test]
+    fn a_panic_stops_further_claims() {
+        let items: Vec<usize> = (0..16).collect();
+        let started = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(&items, |i, _| {
+                started.fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    panic!("item 0 failed");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                i
+            })
+        }));
+        let payload = outcome.expect_err("the panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 0 failed"));
+        let started = started.load(Ordering::Relaxed);
+        assert!(started < items.len(), "{started} of {} items started", items.len());
     }
 
     /// The tentpole determinism regression: the parallel runner's output is

@@ -28,7 +28,7 @@ cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 echo "==> determinism + timing artifact (quick mode; fig6/fig7/queued/availability suites)"
 cargo run --release -p quasaq-bench --bin bench -- --quick
 
-echo "==> cached-admission + stochastic-link brownout smoke (3 servers; asserts bit-identity and nonzero brownout shedding)"
+echo "==> cached-admission + stochastic-link brownout smoke (cached vs plain admission at 3 and 30 servers, bit-identical; nonzero brownout shedding at 3)"
 cargo run --release -p quasaq-bench --bin bench -- --smoke
 
 echo "==> scenario gallery (every scenarios/*.toml: serial + parallel, bit-identical, golden match)"
